@@ -775,12 +775,6 @@ impl EvalContext {
         self.threads
     }
 
-    /// Fold externally-measured work (e.g. rederivation scans) into the
-    /// context counters.
-    pub(crate) fn record(&mut self, stats: Stats) {
-        self.stats += stats;
-    }
-
     /// Consume the context, returning the database.
     pub fn into_database(self) -> Database {
         // Drop the pool first so no worker can still hold a db Arc.
@@ -845,6 +839,62 @@ impl EvalContext {
         self.run_round(rules, Some(delta), eligible, false)
     }
 
+    /// The rederive step of DRed, run set-wise after `overdeleted` (O) has
+    /// been removed from the database. Returns every atom it put back.
+    ///
+    /// 1. Atoms of O that are still asserted in `base` come straight back.
+    /// 2. One head-restricted round: each rule whose head predicate has
+    ///    atoms in O runs with an extra guard atom — the head itself —
+    ///    that ranges over O as the round's delta. The delta-first order
+    ///    drives every join from the guard, which binds the head's terms,
+    ///    so the round costs work in |O| rather than in the database and
+    ///    returns exactly the atoms of O with a one-step derivation from
+    ///    the survivors.
+    /// 3. Ordinary delta rounds propagate what came back. The database
+    ///    before the overdeletion was a fixpoint, so anything they derive
+    ///    lies in O.
+    pub(crate) fn rederive(
+        &mut self,
+        rules: &[usize],
+        base: &Database,
+        overdeleted: &Database,
+    ) -> Database {
+        let mut delta = Database::new();
+        for atom in overdeleted.iter() {
+            if base.contains(&atom) && self.add_fact(atom.clone()) {
+                delta.insert(atom);
+            }
+        }
+
+        let mut scripts: Vec<JoinScript> = Vec::new();
+        let mut items: Vec<(usize, Option<usize>)> = Vec::new();
+        for &ri in rules {
+            let plan = &self.plans[ri];
+            if overdeleted.relation_len(plan.head.pred) == 0 {
+                continue;
+            }
+            let mut guarded = plan.clone();
+            let guard = guarded.body.len();
+            guarded.body.push(plan.head.clone());
+            let order = guarded.greedy_order_seeded(&self.db, Some(guard));
+            scripts.push(compile_script(&guarded, &order));
+            items.push((scripts.len() - 1, Some(guard)));
+        }
+        let derived = self.run_scripts(scripts, &items, Some(overdeleted), true);
+        for atom in self.commit(derived).iter() {
+            delta.insert(atom);
+        }
+
+        let mut restored = Database::new();
+        while !delta.is_empty() {
+            for atom in delta.iter() {
+                restored.insert(atom);
+            }
+            delta = self.delta_round(rules, &delta, &|_| true);
+        }
+        restored
+    }
+
     /// Insert `derived` atoms that are new, append their row-ids to the
     /// live indexes, and return them as a delta database.
     fn commit(&mut self, derived: Vec<GroundAtom>) -> Database {
@@ -878,8 +928,6 @@ impl EvalContext {
         eligible: &dyn Fn(Pred) -> bool,
         filter_known: bool,
     ) -> Vec<GroundAtom> {
-        self.stats.iterations += 1;
-
         // Compile the scripts and lower each to its executor (specialized
         // kernel or the interpreter fallback). Full rounds get one greedy
         // script per rule; delta rounds get one script per (rule, delta
@@ -907,6 +955,20 @@ impl EvalContext {
                 }
             }
         }
+        self.run_scripts(scripts, &items, delta, filter_known)
+    }
+
+    /// Execute compiled `scripts` as one round: each item names a script
+    /// and, optionally, the body atom it reads from `delta` (the persistent
+    /// database otherwise). Returns the derived head atoms.
+    fn run_scripts(
+        &mut self,
+        scripts: Vec<JoinScript>,
+        items: &[(usize, Option<usize>)],
+        delta: Option<&Database>,
+        filter_known: bool,
+    ) -> Vec<GroundAtom> {
+        self.stats.iterations += 1;
         if items.is_empty() {
             return Vec::new();
         }
@@ -941,7 +1003,7 @@ impl EvalContext {
         // row-ids in the delta store must resolve against it on workers.
         let delta_db: Arc<Database> = Arc::new(delta.cloned().unwrap_or_default());
         let mut delta_store = IndexStore::default();
-        for &(s, pos) in &items {
+        for &(s, pos) in items {
             if let Some(p) = pos {
                 let step = scripts[s]
                     .steps
@@ -956,7 +1018,7 @@ impl EvalContext {
         // round with fewer items than workers still saturates the pool.
         let mut tasks: Vec<Task> = Vec::new();
         let target = self.threads * 2;
-        for &(s, pos) in &items {
+        for &(s, pos) in items {
             let shardable = self.threads > 1
                 && items.len() < target
                 && scripts[s].steps.first().is_some_and(|st| !st.negated);

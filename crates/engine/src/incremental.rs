@@ -10,7 +10,11 @@
 //! *rederive* overdeleted atoms that still have alternative support from
 //! the surviving database. To keep base facts and derived atoms apart, the
 //! materialisation remembers the base (`base`): an overdeleted atom that is
-//! still in the base is always rederived.
+//! still in the base is always rederived. Rederivation is set-wise
+//! ([`EvalContext`]'s `rederive`): one head-restricted round whose guard
+//! atom ranges over the overdeleted set, then ordinary delta rounds, all
+//! through the same compiled kernels as insertion — so a removal costs work
+//! in the overdeleted set, not in the database.
 //!
 //! The materialisation lives on a persistent [`EvalContext`], so its rule
 //! plans are compiled once at construction and its hash indexes survive
@@ -217,89 +221,18 @@ impl Materialized {
         // operation that invalidates the live indexes).
         self.cx.remove_atoms(&overdeleted);
 
-        // Phase 2 — rederive. Base facts that were overdeleted (but not
-        // deleted) come straight back; derived atoms come back if some rule
-        // instantiation over the surviving database produces them. Iterate
-        // to fixpoint (restorations can enable further restorations).
-        let mut rstats = Stats::default();
-        let mut pending: Vec<GroundAtom> = overdeleted.iter().collect();
-        loop {
-            let mut restored_any = false;
-            let mut still_pending = Vec::new();
-            for atom in pending {
-                let back = self.base.contains(&atom) || self.rederivable(&atom, &mut rstats);
-                if back {
-                    self.cx.add_fact(atom);
-                    restored_any = true;
-                } else {
-                    still_pending.push(atom);
-                }
-            }
-            pending = still_pending;
-            if !restored_any || pending.is_empty() {
-                break;
-            }
-        }
-        self.cx.record(rstats);
+        // Phase 2 — rederive set-wise: base facts come straight back, then
+        // one head-restricted round over the overdeleted set and ordinary
+        // delta rounds restore everything the survivors still support.
+        self.cx.rederive(&rules, &self.base, &overdeleted);
 
         let removed = old_len - self.cx.database().len();
         (removed as u64, self.cx.stats() - before)
-    }
-
-    /// Does some rule instantiation over the current database derive `atom`?
-    fn rederivable(&self, atom: &GroundAtom, stats: &mut Stats) -> bool {
-        for rule in &self.program.rules {
-            if rule.head.pred != atom.pred {
-                continue;
-            }
-            let Some(head_subst) = datalog_ast::match_atom(&rule.head, atom) else {
-                continue;
-            };
-            if body_satisfiable(rule, &head_subst, self.cx.database(), stats) {
-                return true;
-            }
-        }
-        false
     }
 }
 
 fn all_rules(program: &Program) -> Vec<usize> {
     (0..program.rules.len()).collect()
-}
-
-/// Backtracking satisfiability of a rule body under a partial substitution
-/// (shared with the sharded evaluator's rederivation phase).
-pub(crate) fn body_satisfiable(
-    rule: &datalog_ast::Rule,
-    subst: &datalog_ast::Subst,
-    db: &Database,
-    stats: &mut Stats,
-) -> bool {
-    fn rec(
-        atoms: &[&datalog_ast::Atom],
-        subst: &datalog_ast::Subst,
-        db: &Database,
-        stats: &mut Stats,
-    ) -> bool {
-        let Some((first, rest)) = atoms.split_first() else {
-            return true;
-        };
-        let pattern = subst.apply_atom(first);
-        for tuple in db.relation(pattern.pred) {
-            stats.probes += 1;
-            let g = GroundAtom {
-                pred: pattern.pred,
-                tuple: tuple.into(),
-            };
-            let mut s = subst.clone();
-            if datalog_ast::match_atom_into(&pattern, &g, &mut s) && rec(rest, &s, db, stats) {
-                return true;
-            }
-        }
-        false
-    }
-    let body: Vec<&datalog_ast::Atom> = rule.positive_body().collect();
-    rec(&body, subst, db, stats)
 }
 
 #[cfg(test)]

@@ -24,7 +24,9 @@
 //! Deletions run the same split over the DRed overdeletion sweep (the
 //! sweep never commits, so the frozen database stays identical across
 //! shards for the whole phase), then remove the merged overdeletion from
-//! every replica and rederive against any one of them.
+//! every replica, rederive set-wise on shard 0 (the same head-restricted
+//! round plus delta rounds as [`crate::Materialized`]) and broadcast the
+//! restored atoms to the other replicas.
 //!
 //! The shard key is `(pred, tuple[0])` — the first column is the join key
 //! of every recursive rule the workloads here run (`g(X, …) :- …`), so
@@ -32,7 +34,6 @@
 //! the exchange carries only genuinely cross-shard derivations.
 
 use crate::context::{EvalContext, EvalOptions};
-use crate::incremental::body_satisfiable;
 use crate::stats::Stats;
 use datalog_ast::{Database, GroundAtom, Program};
 use std::hash::{Hash, Hasher};
@@ -277,8 +278,8 @@ impl ShardedMaterialized {
     /// Delete base facts and propagate: the DRed overdeletion sweep runs
     /// partitioned across shards (it commits nothing, so the frozen
     /// database stays replica-identical), then the merged overdeletion is
-    /// removed from every replica and rederived once. Returns the net
-    /// number of atoms removed from the fixpoint.
+    /// removed from every replica and rederived once, set-wise, on shard 0.
+    /// Returns the net number of atoms removed from the fixpoint.
     pub fn remove(&mut self, facts: impl IntoIterator<Item = GroundAtom>) -> u64 {
         self.remove_with_stats(facts).0
     }
@@ -341,55 +342,21 @@ impl ShardedMaterialized {
             }
         });
 
-        // Phase 2 — rederive against shard 0 (the replicas are equal
-        // again). Only shard 0's database is consulted while the loop
-        // runs, so restorations land there immediately and broadcast to
-        // the other replicas in one parallel pass at the end.
-        let mut rstats = Stats::default();
-        let mut pending: Vec<GroundAtom> = overdeleted.iter().collect();
-        let mut restored: Vec<GroundAtom> = Vec::new();
-        loop {
-            let mut restored_any = false;
-            let mut still_pending = Vec::new();
-            for atom in pending {
-                let back = self.base.contains(&atom) || {
-                    self.program.rules.iter().any(|rule| {
-                        rule.head.pred == atom.pred
-                            && datalog_ast::match_atom(&rule.head, &atom).is_some_and(|subst| {
-                                body_satisfiable(
-                                    rule,
-                                    &subst,
-                                    self.shards[0].database(),
-                                    &mut rstats,
-                                )
-                            })
-                    })
-                };
-                if back {
-                    self.shards[0].add_fact(atom.clone());
-                    restored.push(atom);
-                    restored_any = true;
-                } else {
-                    still_pending.push(atom);
-                }
-            }
-            pending = still_pending;
-            if !restored_any || pending.is_empty() {
-                break;
-            }
-        }
+        // Phase 2 — rederive set-wise on shard 0 (the replicas are equal
+        // again), then broadcast the restorations to the other replicas in
+        // one parallel pass.
+        let restored = self.shards[0].rederive(rules, &self.base, &overdeleted);
         let (_, rest) = self.shards.split_at_mut(1);
         std::thread::scope(|scope| {
             for cx in rest {
                 let restored = &restored;
                 scope.spawn(move || {
-                    for atom in restored {
-                        cx.add_fact(atom.clone());
+                    for atom in restored.iter() {
+                        cx.add_fact(atom);
                     }
                 });
             }
         });
-        self.shards[0].record(rstats);
 
         let removed = old_len - self.shards[0].database().len();
         (removed as u64, self.stats() - before)

@@ -393,17 +393,21 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(self.err("unescaped control character in string"));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always well-formed; find the char boundary).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character in string"));
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte in one go. All three are ASCII, so the run
+                    // ends on a char boundary of the `&str` input and is
+                    // valid UTF-8 by itself: each byte is validated once.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -565,6 +569,42 @@ mod tests {
         // Escaped forms parse too, including surrogate pairs.
         let parsed = Value::parse("\"\\u00e9 \\ud83d\\udc4d \\n\"").unwrap();
         assert_eq!(parsed.as_str().unwrap(), "é 👍 \n");
+    }
+
+    #[test]
+    fn multibyte_and_escaped_strings_round_trip() {
+        for s in [
+            "é",
+            "a\u{7f}b",
+            "日本語\"quoted\"\\back\\",
+            "mixed 👍 é\u{1}\u{1f} tail",
+            "\u{10ffff}\u{e000}",
+        ] {
+            let v = Value::String(s.to_string());
+            assert_eq!(Value::parse(&v.to_compact()).unwrap(), v, "{s:?}");
+        }
+        assert!(Value::parse("\"é\u{1}\"").is_err(), "raw control byte");
+    }
+
+    #[test]
+    fn megabyte_string_parses_in_linear_time() {
+        // Each character used to re-validate the rest of the input, which
+        // made this document take minutes; a linear scan takes milliseconds.
+        let body = "abcé👍\\\"".repeat(100_000);
+        let doc = format!("{{\"op\":\"insert\",\"facts\":\"{body}\"}}");
+        assert!(doc.len() >= 1 << 20);
+        let start = std::time::Instant::now();
+        let v = Value::parse(&doc).unwrap();
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(5),
+            "{:?}",
+            start.elapsed()
+        );
+        // Raw `abcé👍\"` is 11 bytes; the escaped quote decodes to one byte.
+        assert_eq!(
+            v.get("facts").unwrap().as_str().unwrap().len(),
+            100_000 * 10
+        );
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //!   redundancy-injected bloat must all agree with the original program on
 //!   IDB-seeded databases (the paper's uniform-equivalence regime, §IV),
 //!   and the minimized programs must test ≡u against the original (§VI).
-//! * **Incremental consistency** — after every insert/remove batch the
-//!   [`Materialized`] fixpoint must equal a from-scratch evaluation of the
-//!   surviving base.
+//! * **Incremental consistency** — a remove-heavy stream of insert/remove
+//!   batches drives [`Materialized`] and [`ShardedMaterialized`] (1 and 2
+//!   shards) side by side; after every batch each fixpoint must equal a
+//!   from-scratch evaluation of the surviving base, and shard replicas
+//!   must agree.
 //! * **Query-cache consistency** — a [`View`] + [`QueryState`] pair (the
 //!   service's point-query path) is driven through interleaved adorned
 //!   queries and invalidating write batches; every answer — cold, served
@@ -487,27 +489,79 @@ fn permutation(rng: &mut StdRng, n: usize) -> Vec<usize> {
     order
 }
 
+/// The materialisations the incremental family drives side by side: the
+/// unsharded [`Materialized`] and the daemon's [`ShardedMaterialized`] at
+/// one and two shards.
+enum Maintained {
+    Unsharded(Materialized),
+    Sharded(ShardedMaterialized),
+}
+
+impl Maintained {
+    fn all(program: &Program, db: &Database) -> Vec<(String, Maintained)> {
+        let mut out = vec![(
+            "unsharded".to_string(),
+            Maintained::Unsharded(Materialized::new(program.clone(), db)),
+        )];
+        for shards in [1, 2] {
+            out.push((
+                format!("shards={shards}"),
+                Maintained::Sharded(ShardedMaterialized::new(program.clone(), db, shards)),
+            ));
+        }
+        out
+    }
+
+    fn apply(&mut self, mutation: &Mutation) {
+        let facts = match mutation {
+            Mutation::Insert(f) | Mutation::Remove(f) => f.iter().cloned(),
+        };
+        match (self, mutation.is_insert()) {
+            (Maintained::Unsharded(m), true) => m.insert(facts),
+            (Maintained::Unsharded(m), false) => m.remove(facts),
+            (Maintained::Sharded(m), true) => m.insert(facts),
+            (Maintained::Sharded(m), false) => m.remove(facts),
+        };
+    }
+
+    /// A divergence message if this state is not `scratch`, else `None`.
+    fn disagreement(&self, scratch: &Database) -> Option<String> {
+        let (db, replicas_agree) = match self {
+            Maintained::Unsharded(m) => (m.database(), true),
+            Maintained::Sharded(m) => (m.database(), m.replicas_agree()),
+        };
+        if db != scratch {
+            Some(diff_sample(scratch, db))
+        } else if !replicas_agree {
+            Some("shard replicas disagree".into())
+        } else {
+            None
+        }
+    }
+}
+
 fn check_incremental(case: &Case) -> Vec<Divergence> {
     let mut out = Vec::new();
     let program = &case.program;
     if !program.is_positive() {
         return out;
     }
-    let mut m = Materialized::new(program.clone(), &case.db);
+    let mut engines = Maintained::all(program, &case.db);
     let mut shadow = case.db.clone();
 
     // Commit 0: initial saturation.
     let scratch = seminaive::evaluate(program, &shadow);
-    if m.database() != &scratch {
-        out.push(Divergence {
-            family: Family::Incremental,
-            kind: "incr:init".into(),
-            message: format!(
-                "initial materialization disagrees with from-scratch: {}",
-                diff_sample(&scratch, m.database())
-            ),
-        });
-        return out;
+    for (name, m) in &engines {
+        if let Some(diff) = m.disagreement(&scratch) {
+            out.push(Divergence {
+                family: Family::Incremental,
+                kind: "incr:init".into(),
+                message: format!(
+                    "{name}: initial materialization disagrees with from-scratch: {diff}"
+                ),
+            });
+            return out;
+        }
     }
 
     for (step, mutation) in case.mutations.iter().enumerate() {
@@ -516,31 +570,31 @@ fn check_incremental(case: &Case) -> Vec<Divergence> {
                 for f in facts {
                     shadow.insert(f.clone());
                 }
-                m.insert(facts.iter().cloned());
             }
             Mutation::Remove(facts) => {
                 for f in facts {
                     shadow.remove(f);
                 }
-                m.remove(facts.iter().cloned());
             }
         }
         let scratch = seminaive::evaluate(program, &shadow);
-        if m.database() != &scratch {
-            let op = if mutation.is_insert() {
-                "insert"
-            } else {
-                "remove"
-            };
-            out.push(Divergence {
-                family: Family::Incremental,
-                kind: "incr:step".into(),
-                message: format!(
-                    "after {op} batch #{step} the materialization disagrees with from-scratch: {}",
-                    diff_sample(&scratch, m.database())
-                ),
-            });
-            return out; // later steps would only echo the same corruption
+        for (name, m) in &mut engines {
+            m.apply(mutation);
+            if let Some(diff) = m.disagreement(&scratch) {
+                let op = if mutation.is_insert() {
+                    "insert"
+                } else {
+                    "remove"
+                };
+                out.push(Divergence {
+                    family: Family::Incremental,
+                    kind: "incr:step".into(),
+                    message: format!(
+                        "{name}: after {op} batch #{step} the materialization disagrees with from-scratch: {diff}"
+                    ),
+                });
+                return out; // later steps would only echo the same corruption
+            }
         }
     }
     out

@@ -110,7 +110,8 @@ pub fn generate(seed: u64, family: Family) -> Case {
         Vec::new()
     };
     let mutations = match family {
-        Family::Incremental | Family::QueryCache => pick_mutations(&mut rng, &program, &db),
+        Family::Incremental => pick_remove_heavy_mutations(&mut rng, &program, &db),
+        Family::QueryCache => pick_mutations(&mut rng, &program, &db),
         Family::ConcurrentService => pick_service_mutations(&mut rng, &program, &db),
         _ => Vec::new(),
     };
@@ -257,13 +258,7 @@ fn pick_mutations(rng: &mut StdRng, program: &Program, db: &Database) -> Vec<Mut
                 if idb.contains(&pred) && rng.gen_bool(0.6) {
                     continue;
                 }
-                let tuple: Vec<Const> = (0..arity)
-                    .map(|_| Const::Int(rng.gen_range(0..domain)))
-                    .collect();
-                facts.push(GroundAtom {
-                    pred,
-                    tuple: tuple.into(),
-                });
+                facts.push(random_atom(rng, pred, arity, domain));
             }
             if !facts.is_empty() {
                 out.push(Mutation::Insert(facts));
@@ -277,19 +272,72 @@ fn pick_mutations(rng: &mut StdRng, program: &Program, db: &Database) -> Vec<Mut
                     facts.push(existing[rng.gen_range(0..existing.len())].clone());
                 } else {
                     let (pred, arity) = arities[rng.gen_range(0..arities.len())];
-                    let tuple: Vec<Const> = (0..arity)
-                        .map(|_| Const::Int(rng.gen_range(0..domain)))
-                        .collect();
-                    facts.push(GroundAtom {
-                        pred,
-                        tuple: tuple.into(),
-                    });
+                    facts.push(random_atom(rng, pred, arity, domain));
                 }
             }
             out.push(Mutation::Remove(facts));
         }
     }
     out
+}
+
+/// The daemon's write path under deletion pressure: about three removes
+/// per insert, multi-fact batches, and removals drawn from everything
+/// asserted so far (four draws in ten from the seeded IDB facts, when there
+/// are any), so DRed rederivation runs against surviving alternative
+/// derivations, asserted IDB atoms and re-inserted facts. One draw in ten
+/// is a random fact, often a miss or a derived atom, which must no-op.
+fn pick_remove_heavy_mutations(
+    rng: &mut StdRng,
+    program: &Program,
+    db: &Database,
+) -> Vec<Mutation> {
+    let domain: i64 = 7;
+    let idb = program.intentional();
+    let arities = pred_arities(program);
+    let random_fact = |rng: &mut StdRng| {
+        let (pred, arity) = arities[rng.gen_range(0..arities.len())];
+        random_atom(rng, pred, arity, domain)
+    };
+    let mut asserted: Vec<GroundAtom> = db.iter().collect();
+    let seeded_idb: Vec<GroundAtom> = asserted
+        .iter()
+        .filter(|a| idb.contains(&a.pred))
+        .cloned()
+        .collect();
+    let n = rng.gen_range(4..10);
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        let batch_len = rng.gen_range(2..5);
+        if rng.gen_range(0..4u32) == 0 || asserted.is_empty() {
+            let facts: Vec<GroundAtom> = (0..batch_len).map(|_| random_fact(rng)).collect();
+            asserted.extend(facts.iter().cloned());
+            out.push(Mutation::Insert(facts));
+        } else {
+            let facts = (0..batch_len)
+                .map(|_| match rng.gen_range(0..10u32) {
+                    0..=3 if !seeded_idb.is_empty() => {
+                        seeded_idb[rng.gen_range(0..seeded_idb.len())].clone()
+                    }
+                    0..=8 => asserted[rng.gen_range(0..asserted.len())].clone(),
+                    _ => random_fact(rng),
+                })
+                .collect();
+            out.push(Mutation::Remove(facts));
+        }
+    }
+    out
+}
+
+/// A `pred` atom of `arity` random integer constants below `domain`.
+fn random_atom(rng: &mut StdRng, pred: Pred, arity: usize, domain: i64) -> GroundAtom {
+    let tuple: Vec<Const> = (0..arity)
+        .map(|_| Const::Int(rng.gen_range(0..domain)))
+        .collect();
+    GroundAtom {
+        pred,
+        tuple: tuple.into(),
+    }
 }
 
 /// Rename reserved `$`-namespace variables (as introduced by redundancy
